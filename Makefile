@@ -91,9 +91,11 @@ portfolio-smoke:
 ## corruption) must produce programs byte-identical to a fault-free run,
 ## within bounded wall-clock, with the failure traffic visible in telemetry.
 ## Seed 7 is chosen so the fast subset draws 2 crashes and 2 hangs (see
-## benchmarks/check_chaos.py for the contract being enforced).
+## benchmarks/check_chaos.py for the contract being enforced).  The last
+## four commands do the same for the asymptotic suite: worker crashes inside
+## portfolio races must be retried without changing any winner's program.
 chaos-smoke:
-	rm -rf /tmp/resyn-chaos-clean /tmp/resyn-chaos-cache
+	rm -rf /tmp/resyn-chaos-clean /tmp/resyn-chaos-cache /tmp/resyn-chaos-asym
 	$(PYTHON) -m repro.service run specs/table1.json -j 2 \
 	  --cache /tmp/resyn-chaos-clean --json /tmp/chaos-baseline.json
 	REPRO_FAULTS="worker.crash=0.4:once,worker.hang=0.15:once,cache.write_torn=0.4" \
@@ -110,3 +112,11 @@ chaos-smoke:
 	  /tmp/chaos-cold.json /tmp/chaos-warm.json --stats /tmp/chaos-stats.json \
 	  --require retries --require worker_kills --require hard_timeouts \
 	  --require pool_rebuilds --require cache_quarantined
+	$(PYTHON) -m repro.service run specs/asymptotic_suite.json -j 2 \
+	  --json /tmp/chaos-asym-baseline.json
+	REPRO_FAULTS="worker.crash=0.4:once" REPRO_FAULTS_SEED=7 \
+	  timeout 300 $(PYTHON) -m repro.service run specs/asymptotic_suite.json -j 2 \
+	  --cache /tmp/resyn-chaos-asym --json /tmp/chaos-asym.json
+	$(PYTHON) -m repro.service stats /tmp/resyn-chaos-asym --json > /tmp/chaos-asym-stats.json
+	$(PYTHON) benchmarks/check_chaos.py /tmp/chaos-asym-baseline.json /tmp/chaos-asym.json \
+	  --stats /tmp/chaos-asym-stats.json --require retries --require worker_kills

@@ -75,6 +75,7 @@ def synthesize(
         return _synthesize(goal, config, solver=solver)
 
     from repro.portfolio.bounds import compile_ladder
+    from repro.service.supervisor import portfolio_block
 
     ladder = compile_ladder(goal)
     total_seconds = 0.0
@@ -98,13 +99,9 @@ def synthesize(
         cegis_counterexamples=result.cegis_counterexamples,
         stats=dict(result.stats),
     )
-    final.stats["portfolio"] = {
-        "bound": goal.bound,
-        "ladder": [rung.label for rung in ladder],
-        "variants_total": len(ladder),
-        "winner": winner.label if winner is not None else None,
-        "winner_index": winner.index if winner is not None else None,
-    }
+    final.stats["portfolio"] = portfolio_block(
+        goal.bound, [rung.label for rung in ladder], winner.index if winner is not None else None
+    )
     return final
 
 
@@ -126,12 +123,11 @@ def run_goals(
     ``strict=False``, jobs that produced no record (cancelled, crashed,
     hard-timed-out) come back as failure results instead of raising.
     """
-    from repro.portfolio.runner import PortfolioRunner
-    from repro.service.scheduler import DEFAULT_RETRIES
+    from repro.service.scheduler import DEFAULT_RETRIES, BatchScheduler
 
-    runner = PortfolioRunner(
+    scheduler = BatchScheduler(
         workers=workers,
         cache=cache,
         retries=DEFAULT_RETRIES if retries is None else retries,
     )
-    return runner.run_goals(goals, config=config, timeout=timeout, strict=strict)
+    return scheduler.run_goals(goals, config=config, timeout=timeout, strict=strict)

@@ -4,7 +4,7 @@ A *variant* is a concrete ``(goal, config)`` pair the portfolio scheduler can
 race against the others.  Expansion is a pure function of the logical goal and
 base configuration — the variant list, its order, and every label are
 deterministic, because the variant order doubles as the winner priority
-(:mod:`repro.portfolio.runner`): among successful variants the one with the
+(:mod:`repro.service.supervisor`): among successful variants the one with the
 lowest index wins, regardless of which finished first.
 
 Expansion strategies, all tightest-variant-first:
@@ -19,7 +19,7 @@ Expansion strategies, all tightest-variant-first:
 * :func:`relax_variants` — race cost-bound relaxations of the search
   configuration (tightest depth caps first).
 
-:func:`expand_goal` is the dispatcher the runner and server use: asymptotic
+:func:`expand_goal` is the dispatcher the supervisor uses: asymptotic
 goals expand into their ladder, anything else stays a single variant.
 """
 

@@ -10,10 +10,12 @@ layer every scaling PR (sharding, async APIs, multi-backend) builds on:
   (goal, component library, configuration) triples;
 * :mod:`repro.service.cache` — a persistent content-addressed result cache
   keyed by those fingerprints;
-* :mod:`repro.service.scheduler` — a job scheduler that fans goals out over a
+* :mod:`repro.service.supervisor` — the pure scheduling state machine:
+  queue, crash retry with backoff, poison-job detection, deduplication,
+  caching, cancellation and portfolio races;
+* :mod:`repro.service.scheduler` — the batch scheduler that drives it over a
   supervised worker pool with per-job soft timeouts *and* parent-enforced
-  hard deadlines, crash retry with backoff, poison-job detection,
-  cancellation and deterministic result collection;
+  hard deadlines, collecting results deterministically;
 * :mod:`repro.service.faults` — deterministic fault injection (worker
   crash/hang, cache corruption, spawn failure) for chaos-testing the above;
 * :mod:`repro.service.specs` — declarative goal specifications (JSON/TOML)

@@ -12,69 +12,56 @@ configurations via :mod:`repro.service.codec` — component closures never get
 pickled) and results come back as the records of
 :meth:`repro.core.goals.SynthesisResult.to_record`.
 
-The pool is supervised directly by the parent (one long-lived worker process
-per slot, a duplex pipe each) rather than through ``multiprocessing.Pool``,
-because fault tolerance needs powers ``Pool`` does not grant: killing exactly
-one hung worker, noticing exactly which job died with a crashed one, and
-respawning either without losing the rest of the batch.
+This module holds the process side: :class:`WorkerPool` (one long-lived
+worker process per slot, a duplex pipe each — not ``multiprocessing.Pool``,
+because fault tolerance needs to kill exactly one hung worker and to know
+exactly which job died with a crashed one) and :class:`BatchScheduler`, a
+thin loop that feeds pool outcomes into a
+:class:`~repro.service.supervisor.Supervisor` and applies its actions.  Every
+scheduling decision — queue order, retry backoff, poison verdicts,
+deduplication, caching, portfolio races — is the supervisor's (see
+``docs/ARCHITECTURE.md`` for the failure semantics).  Jobs whose goal carries
+an asymptotic bound race their bound ladder on the same pool as plain jobs.
 
-Failure semantics (see also ``docs/ARCHITECTURE.md``):
-
-* **soft timeout** — enforced *inside* the worker through the synthesizer's
-  own deadline checks; a cooperating job returns a clean no-solution record;
-* **hard deadline** — the parent independently enforces ``soft timeout +
-  grace`` per job; a worker that blows through it (a SAT loop that stopped
-  polling, an injected hang) is killed and respawned, and the job is marked
-  ``hard_timed_out`` once its retry budget is spent;
-* **crash recovery** — a worker that dies mid-job (crash, OOM kill) is
-  respawned and the job retried with deterministic capped exponential
-  backoff, up to ``retries`` attempts;
-* **poison jobs** — a job that kills its worker ``POISON_KILLS`` times
-  becomes an error result instead of retrying forever;
-* **pool breakage** — every lost worker is respawned (a pool rebuild); if no
-  worker can be (re)spawned at all, the remaining jobs gracefully degrade to
-  the in-process serial backend;
-* **cancellation** — :meth:`BatchScheduler.cancel` (or ``KeyboardInterrupt``
-  during :meth:`~BatchScheduler.run`) kills the pool and marks every
-  unfinished job cancelled, returning the partial results collected so far.
-
-Scheduling features carried over from the batch-service PR: cache integration
-(fingerprint hits skip synthesis; fresh results are persisted) and in-batch
-fingerprint deduplication.  ``workers <= 1`` runs jobs in-process with
-identical semantics — that is the baseline the determinism tests compare the
-pool against.  Worker-level fault injection (``worker.crash``/``worker.hang``
-from :mod:`repro.service.faults`) only applies to pool workers: in-process
+``workers <= 1`` runs jobs in-process with identical semantics — that is the
+baseline the determinism tests compare the pool against — and so does a run
+whose pool cannot spawn a single worker (``degraded_serial``).  Worker-level
+fault injection (``worker.crash``/``worker.hang`` from
+:mod:`repro.service.faults`) only applies to pool workers: in-process
 execution has no process boundary to kill.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import multiprocessing.connection
 import os
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
 from repro.core.goals import SynthesisGoal, SynthesisResult
 from repro.obs import metrics
 from repro.service import faults, warm
 from repro.service.cache import ResultCache
-from repro.service.codec import config_from_json, config_to_json, goal_from_json, goal_to_json
-from repro.service.fingerprint import job_fingerprint
+from repro.service.codec import config_from_json, goal_from_json
+from repro.service.supervisor import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    DEFAULT_RETRIES,
+    Job,
+    JobResult,
+    SchedulerStats,
+    Supervisor,
+    Task,
+    job_for_goal,
+    portfolio_enabled,
+)
+from repro.service.supervisor import POISON_KILLS  # noqa: F401 - re-exported
 
-#: Default number of times a crash-classified failure is re-executed.
-DEFAULT_RETRIES = 2
 #: Default seconds past the soft timeout before the parent kills a worker.
 DEFAULT_GRACE = 5.0
-#: A job that costs this many worker processes is poison: error, never retry.
-POISON_KILLS = 2
-#: Deterministic capped exponential backoff: base * 2**(attempt-1), <= cap.
-BACKOFF_BASE = 0.05
-BACKOFF_CAP = 1.0
 #: Exit code of an injected worker crash (visible in error results).
 _CRASH_EXIT = 73
 #: How long an injected hang sleeps per nap; the parent's hard deadline is
@@ -82,242 +69,28 @@ _CRASH_EXIT = 73
 _HANG_NAP = 3600.0
 
 
-#: Counter keys that are plain sums and therefore meaningful to aggregate
-#: across workers (rates and averages are recomputed, never summed).
-def _summable(key: str, value: object) -> bool:
-    return isinstance(value, (int, float)) and not key.endswith(("_rate", "_avg_core_size"))
+def job_payload(job: Job, warm: bool, submitted: Optional[float], attempt: int = 0) -> dict:
+    """The wire payload a worker executes for one attempt of ``job``.
 
-
-def ship_faults(plan: faults.FaultPlan) -> bool:
-    """Whether payloads need the fault plan shipped to the child at all."""
-    return plan.active and (
-        plan.rate(faults.WORKER_CRASH) > 0 or plan.rate(faults.WORKER_HANG) > 0
-    )
-
-
-def fault_fields(plan: faults.FaultPlan, key: str, attempt: int) -> dict:
-    """Payload fields a worker needs to decide its own injected faults."""
-    return {
-        "faults": plan.to_spec(),
-        "faults_seed": plan.seed,
-        "fault_key": key,
-        "attempt": attempt,
-    }
-
-
-def classify_failure(kills: int, attempts: int, retry_budget: int) -> str:
-    """Shared worker-loss verdict: ``poison`` | ``retry`` | ``final``.
-
-    Used by both the batch scheduler and the long-running server so a job
-    that keeps killing workers is handled identically in either mode.
+    ``submitted`` is only cross-comparable when both ends share one monotonic
+    clock domain (in-process, or fork on Linux); pass ``None`` under spawn so
+    queue wait reports 0.0, not garbage.
     """
-    if kills >= POISON_KILLS:
-        return "poison"
-    if attempts <= retry_budget:
-        return "retry"
-    return "final"
-
-
-@dataclass(frozen=True)
-class Job:
-    """One schedulable synthesis problem, fully serializable."""
-
-    goal_json: dict
-    config_json: dict
-    #: Caller-chosen label used to correlate results (e.g. ``t1_append/resyn``).
-    tag: str
-    #: Per-job wall-clock budget; overrides the config timeout when tighter.
-    timeout: Optional[float] = None
-    #: Per-job retry budget for crash-classified failures; ``None`` uses the
-    #: scheduler's.  Like ``timeout``, retry policy is *scheduling*, not part
-    #: of the synthesis problem, so it is excluded from the fingerprint.
-    retries: Optional[int] = None
-    fingerprint: str = ""
-
-    def goal(self) -> SynthesisGoal:
-        return goal_from_json(self.goal_json)
-
-    def config(self) -> SynthesisConfig:
-        return config_from_json(self.config_json)
-
-
-def job_for_goal(
-    goal: SynthesisGoal,
-    config: Optional[SynthesisConfig] = None,
-    tag: Optional[str] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-) -> Job:
-    """Package a goal + configuration as a schedulable, cache-addressable job."""
-    config = config or SynthesisConfig.resyn()
-    return Job(
-        goal_json=goal_to_json(goal),
-        config_json=config_to_json(config),
-        tag=tag if tag is not None else goal.name,
-        timeout=timeout,
-        retries=retries,
-        fingerprint=job_fingerprint(goal, config),
-    )
-
-
-@dataclass
-class JobResult:
-    """Outcome of one job: a result record plus scheduling metadata."""
-
-    tag: str
-    fingerprint: str
-    record: Optional[Dict[str, object]] = None
-    cache_hit: bool = False
-    #: Another job in the same batch had the same fingerprint and ran for us.
-    deduplicated: bool = False
-    timed_out: bool = False
-    #: The parent killed the worker at the hard deadline (soft + grace).
-    hard_timed_out: bool = False
-    cancelled: bool = False
-    error: Optional[str] = None
-    #: Execution attempts consumed (0 = served without executing: cache/dedup).
-    attempts: int = 0
-    #: Time the job sat in the queue before a worker picked it up (seconds).
-    queue_seconds: float = 0.0
-    #: Wall-clock the worker spent executing the job (seconds).
-    run_seconds: float = 0.0
-    #: PID of the worker process that executed the job (0 = not executed).
-    worker_pid: int = 0
-    #: Warm-solver counter block from the executing worker (None when the job
-    #: ran cold).  Stripped from the record before caching, like the timings.
-    warm: Optional[Dict[str, object]] = None
-    #: Run-level portfolio attribution (None for non-portfolio jobs): how the
-    #: race actually unfolded — per-variant outcomes, cancellations, timings.
-    #: Timing-dependent, so carried here rather than in the cached record;
-    #: the deterministic part of the attribution (winner, ladder) lives in
-    #: ``record["stats"]["portfolio"]``.
-    portfolio: Optional[Dict[str, object]] = None
-
-    @property
-    def succeeded(self) -> bool:
-        return self.record is not None and self.record.get("program") is not None
-
-    @property
-    def program_text(self) -> Optional[str]:
-        return self.record.get("program_text") if self.record else None
-
-    @property
-    def seconds(self) -> float:
-        return float(self.record.get("seconds", 0.0)) if self.record else 0.0
-
-    @property
-    def stats(self) -> Dict[str, object]:
-        return dict(self.record.get("stats") or {}) if self.record else {}
-
-    def failure_reason(self) -> Optional[str]:
-        """Human-readable reason when no record was produced (else ``None``)."""
-        if self.record is not None:
-            return None
-        if self.error is not None:
-            return self.error
-        if self.hard_timed_out:
-            return "hard timeout (worker killed at soft timeout + grace)"
-        if self.cancelled:
-            return "cancelled"
-        return "no record"
-
-    def to_synthesis_result(self, goal: SynthesisGoal, strict: bool = True) -> SynthesisResult:
-        """Rebuild the full :class:`SynthesisResult` for ``goal``.
-
-        Jobs that produced no record (cancelled, crashed, hard-timed-out)
-        raise in strict mode; with ``strict=False`` they come back as an
-        explicit failure result (no program, the reason under
-        ``stats["service_failure"]``) so one bad job does not abort
-        consumption of a whole batch.
-        """
-        if self.record is not None:
-            return SynthesisResult.from_record(self.record, goal)
-        reason = self.failure_reason() or "no record"
-        if strict:
-            raise ValueError(f"job {self.tag!r} produced no record ({reason})")
-        return SynthesisResult(
-            goal=goal, program=None, seconds=0.0, stats={"service_failure": reason}
+    payload = {"goal": job.goal_json, "config": job.config_json, "timeout": job.timeout}
+    if warm:
+        payload["warm"] = True
+    if submitted is not None:
+        payload["submitted"] = submitted
+    plan = faults.plan()
+    if plan.active and (plan.rate(faults.WORKER_CRASH) or plan.rate(faults.WORKER_HANG)):
+        # Worker faults are decided in the child, from the plan shipped here.
+        payload.update(
+            faults=plan.to_spec(),
+            faults_seed=plan.seed,
+            fault_key=job.fingerprint or job.tag,
+            attempt=attempt,
         )
-
-
-@dataclass
-class SchedulerStats:
-    """Aggregated statistics of one :meth:`BatchScheduler.run` call."""
-
-    jobs: int = 0
-    workers: int = 0
-    cache_hits: int = 0
-    deduplicated: int = 0
-    #: Jobs that actually invoked the synthesizer (misses minus dedups).
-    synth_runs: int = 0
-    timeouts: int = 0
-    cancelled: int = 0
-    errors: int = 0
-    #: Crash-classified re-executions performed this run.
-    retries: int = 0
-    #: Worker processes lost mid-job (crashed on their own or parent-killed).
-    worker_kills: int = 0
-    #: Jobs whose worker was killed at the hard deadline (soft + grace).
-    hard_timeouts: int = 0
-    #: Jobs declared poison after killing POISON_KILLS workers.
-    poisoned: int = 0
-    #: Replacement workers spawned after a loss (pool rebuilds).
-    pool_rebuilds: int = 0
-    #: Portfolio variants dispatched across all portfolio races this run.
-    variants_raced: int = 0
-    #: Portfolio variants cancelled because a higher-priority variant won.
-    variants_cancelled: int = 0
-    #: 1 when pool creation failed entirely and jobs ran on the serial backend.
-    degraded_serial: int = 0
-    wall_seconds: float = 0.0
-    #: Sum of per-job synthesis seconds actually spent this run
-    #: (serial-equivalent work performed).
-    cpu_seconds: float = 0.0
-    #: Synthesis seconds avoided by cache hits and in-batch deduplication
-    #: (from the stored records of the original runs).
-    saved_seconds: float = 0.0
-    #: Total seconds jobs spent waiting in the queue before a worker picked
-    #: them up (submission to execution start, summed over executed jobs).
-    queue_seconds: float = 0.0
-    #: Total seconds workers spent executing jobs (the busy time that
-    #: ``worker_utilization`` divides by the wall clock).
-    run_seconds: float = 0.0
-    #: Busy fraction per worker, keyed ``w0..wN`` (workers sorted by PID).
-    worker_utilization: Dict[str, float] = field(default_factory=dict)
-    #: Solver/search counters summed across all completed jobs.
-    counters: Dict[str, float] = field(default_factory=dict)
-    #: Warm-solver reuse across jobs (empty when the run executed cold).
-    #: ``reused_jobs`` counts jobs that started with nonempty warm caches —
-    #: the proof that worker state survived between jobs.
-    warm_state: Dict[str, object] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "jobs": self.jobs,
-            "workers": self.workers,
-            "cache_hits": self.cache_hits,
-            "deduplicated": self.deduplicated,
-            "synth_runs": self.synth_runs,
-            "timeouts": self.timeouts,
-            "cancelled": self.cancelled,
-            "errors": self.errors,
-            "retries": self.retries,
-            "worker_kills": self.worker_kills,
-            "hard_timeouts": self.hard_timeouts,
-            "poisoned": self.poisoned,
-            "pool_rebuilds": self.pool_rebuilds,
-            "variants_raced": self.variants_raced,
-            "variants_cancelled": self.variants_cancelled,
-            "degraded_serial": self.degraded_serial,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "cpu_seconds": round(self.cpu_seconds, 4),
-            "saved_seconds": round(self.saved_seconds, 4),
-            "queue_seconds": round(self.queue_seconds, 4),
-            "run_seconds": round(self.run_seconds, 4),
-            "worker_utilization": dict(self.worker_utilization),
-            "counters": dict(self.counters),
-            "warm_state": dict(self.warm_state),
-        }
+    return payload
 
 
 def _execute_payload(payload: dict) -> dict:
@@ -452,8 +225,7 @@ class _Worker:
 class _Active:
     """Bookkeeping for a job currently executing on a worker."""
 
-    #: Caller-supplied dispatch token (the batch scheduler uses job indices,
-    #: the server uses request-scoped job handles).
+    #: Caller-supplied dispatch token (a supervisor :class:`Task`).
     token: object
     started: float
     #: Parent-enforced kill time (monotonic), None when the job has no soft
@@ -475,15 +247,13 @@ class PoolEvent:
 class WorkerPool:
     """A supervised pool of long-lived synthesis workers.
 
-    Extracted from :meth:`BatchScheduler._run_pool` so a long-running server
-    (:mod:`repro.service.serve`) can keep the *same* pool resident across
-    requests — preserving each worker's warm solver state — while the batch
-    scheduler keeps creating one per run.  The pool owns process lifecycle
-    only: spawn (the ``pool.spawn`` fault point), dispatch, crash detection,
-    parent-enforced hard deadlines, kill + respawn.  Retry budgets, poison
-    verdicts and result bookkeeping stay with the caller, which is what makes
-    the failure semantics identical in batch and server mode
-    (:func:`classify_failure`).
+    The batch scheduler creates one per run; the long-running server
+    (:mod:`repro.service.serve`) keeps one resident across requests,
+    preserving each worker's warm solver state.  The pool owns process
+    lifecycle only: spawn (the ``pool.spawn`` fault point), dispatch, crash
+    detection, parent-enforced hard deadlines, kill + respawn.  What an
+    outcome *means* — retry, poison, winner — is the
+    :class:`~repro.service.supervisor.Supervisor`'s to decide.
     """
 
     def __init__(self, size: int, ctx=None, grace: float = DEFAULT_GRACE) -> None:
@@ -503,11 +273,7 @@ class WorkerPool:
         self.kills = 0
         #: Replacement workers spawned after a loss, cumulative.
         self.rebuilds = 0
-        #: Workers deliberately killed to cancel their job (portfolio losers),
-        #: cumulative.  Kept separate from ``kills``: a cancel is scheduler
-        #: intent, not a failure, so it must not feed poison verdicts.
-        self.cancels = 0
-        #: Partial busy seconds charged to workers retired mid-job, by PID.
+        #: Partial busy seconds of jobs killed mid-run (lost or cancelled), by PID.
         self.busy_charges: Dict[int, float] = {}
 
     @property
@@ -527,9 +293,6 @@ class WorkerPool:
     def active_count(self) -> int:
         return len(self._active)
 
-    def worker_pids(self) -> List[int]:
-        return sorted(worker.pid for worker in self._workers)
-
     def _try_spawn(self) -> Optional[_Worker]:
         """One spawn attempt (the ``pool.spawn`` fault point); None on failure."""
         seq = self._spawn_seq
@@ -541,22 +304,25 @@ class WorkerPool:
         except OSError:
             return None
 
-    def start(self, want: Optional[int] = None) -> int:
-        """Spawn up to ``size`` (or ``want``) workers; returns the live count."""
-        target = self.size if want is None else min(self.size, want)
-        for _ in range(max(target - len(self._workers), 0)):
+    def start(self) -> int:
+        """Spawn up to ``size`` workers; returns the live count."""
+        for _ in range(max(self.size - len(self._workers), 0)):
             worker = self._try_spawn()
             if worker is not None:
                 self._workers.append(worker)
                 self._idle.append(worker)
         return len(self._workers)
 
+    def _charge(self, worker: _Worker, started: float) -> None:
+        """Charge the partial busy time of a job that will never report."""
+        self.busy_charges[worker.pid] = self.busy_charges.get(worker.pid, 0.0) + max(
+            time.monotonic() - started, 0.0
+        )
+
     def _retire(self, worker: _Worker, charge_started: Optional[float]) -> None:
         """Remove a lost worker, charging its partial busy time."""
         if charge_started is not None:
-            self.busy_charges[worker.pid] = self.busy_charges.get(worker.pid, 0.0) + max(
-                time.monotonic() - charge_started, 0.0
-            )
+            self._charge(worker, charge_started)
         if worker in self._workers:
             self._workers.remove(worker)
         worker.kill()
@@ -589,26 +355,21 @@ class WorkerPool:
         self._active[worker] = _Active(token, now, deadline)
         return True
 
-    def active_tokens(self) -> List[object]:
-        """Tokens of jobs currently executing (for shutdown accounting)."""
-        return [entry.token for entry in self._active.values()]
-
     def cancel_token(self, token: object) -> bool:
         """Kill the worker executing ``token`` and spawn a replacement.
 
-        Used by the portfolio scheduler to reclaim a worker from a losing
-        variant the moment a higher-priority variant succeeds.  The kill is
-        counted under :attr:`cancels` (not :attr:`kills`) and no event is
-        emitted for the token — the caller already decided the job's fate.
-        Returns ``False`` if ``token`` is not currently active.
+        Reclaims the worker of a portfolio rung the moment a lower rung wins
+        (the supervisor's ``kill`` action).  A cancel is scheduler intent,
+        not a failure: it is not counted under :attr:`kills` and no event is
+        emitted for the token.  Returns ``False`` if ``token`` is not active.
         """
         for worker, entry in list(self._active.items()):
             if entry.token == token:
                 del self._active[worker]
+                self._charge(worker, entry.started)
                 if worker in self._workers:
                     self._workers.remove(worker)
                 worker.kill()
-                self.cancels += 1
                 self._respawn()
                 return True
         return False
@@ -683,6 +444,41 @@ class WorkerPool:
         self._active.clear()
 
 
+def execute_inline(task: Task, payload: dict) -> PoolEvent:
+    """Run one task in this process (serial or degraded backend)."""
+    try:
+        record = _execute_payload(payload)
+    except Exception as exc:  # noqa: BLE001 - worker parity
+        return PoolEvent("error", task, repr(exc))
+    return PoolEvent("ok", task, record, os.getpid())
+
+
+def deliver(
+    supervisor: Supervisor, pool: WorkerPool, now: float, payload: Callable[[Task], dict]
+) -> List[Task]:
+    """Hand tasks the supervisor releases to idle workers; returns them.
+
+    A task whose idle worker turned out dead goes back to the head of the
+    queue and is offered to the replacement the pool spawned.
+    """
+    delivered: List[Task] = []
+    while pool.idle_count:
+        tasks = supervisor.dispatch(now, 1)
+        if not tasks:
+            break
+        if pool.dispatch(tasks[0], payload(tasks[0]), tasks[0].job.soft_timeout):
+            delivered.append(tasks[0])
+        else:
+            supervisor.requeue(tasks)
+    return delivered
+
+
+def poll_timeout(pool: WorkerPool, supervisor: Supervisor) -> Optional[float]:
+    """How long a loop may block: until the next hard deadline or retry."""
+    bounds = [b for b in (pool.next_deadline(), supervisor.next_wakeup()) if b is not None]
+    return max(min(bounds) - time.monotonic(), 0.0) if bounds else None
+
+
 class BatchScheduler:
     """Schedules synthesis jobs over a worker pool, with optional caching."""
 
@@ -720,7 +516,6 @@ class BatchScheduler:
         self._ctx = multiprocessing.get_context(start_method)
         self.stats = SchedulerStats()
         self._cancelled = False
-        self._busy: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -733,80 +528,89 @@ class BatchScheduler:
         """Execute ``jobs`` and return their results in submission order."""
         start = time.perf_counter()
         self._cancelled = False
-        self.stats = SchedulerStats(jobs=len(jobs), workers=max(1, self.workers))
-        self._busy: Dict[int, float] = {}
+        supervisor = Supervisor(
+            cache=self.cache,
+            retries=self.retries,
+            backoff_base=self.backoff_base,
+            backoff_cap=self.backoff_cap,
+            racing=self.workers > 1 and portfolio_enabled(),
+            stats=SchedulerStats(workers=max(1, self.workers)),
+        )
+        self.stats = supervisor.stats
         results: List[Optional[JobResult]] = [None] * len(jobs)
+        pool: Optional[WorkerPool] = None
 
-        pending: List[int] = []
-        primary_for: Dict[Tuple[str, Optional[float]], int] = {}
-        duplicates: Dict[int, int] = {}
+        def apply(actions) -> None:
+            for action in actions:
+                if action.kind == "finish":
+                    results[action.handle] = action.result
+                elif action.kind == "kill" and pool is not None:
+                    pool.cancel_token(action.task)
+
+        submitted = time.monotonic()
         for index, job in enumerate(jobs):
-            if self.cache is not None and job.fingerprint:
-                entry = self.cache.lookup(job.fingerprint)
-                if entry is not None:
-                    self.stats.cache_hits += 1
-                    results[index] = JobResult(
-                        tag=job.tag,
-                        fingerprint=job.fingerprint,
-                        record=entry,
-                        cache_hit=True,
-                        timed_out=bool(entry.get("timed_out")),
-                    )
-                    continue
-            # Deduplicate on (fingerprint, timeout): the per-job timeout is not
-            # part of the fingerprint (it does not change what a *successful*
-            # synthesis produces), but it does decide whether a job times out,
-            # so jobs with different budgets must not share one execution.
-            dedup_key = (job.fingerprint, job.timeout)
-            primary = primary_for.get(dedup_key)
-            if job.fingerprint and primary is not None:
-                duplicates[index] = primary
-                continue
-            primary_for[dedup_key] = index
-            pending.append(index)
-
-        self.stats.synth_runs = len(pending)
-        if pending:
-            if self.workers <= 1:
-                self._run_serial(jobs, pending, results)
-            else:
-                self._run_pool(jobs, pending, results)
-
-        for index, primary in duplicates.items():
-            primary_result = results[primary]
-            assert primary_result is not None
-            self.stats.deduplicated += 1
-            results[index] = JobResult(
-                tag=jobs[index].tag,
-                fingerprint=jobs[index].fingerprint,
-                record=primary_result.record,
-                cache_hit=primary_result.cache_hit,
-                deduplicated=True,
-                timed_out=primary_result.timed_out,
-                hard_timed_out=primary_result.hard_timed_out,
-                cancelled=primary_result.cancelled,
-                error=primary_result.error,
+            apply(supervisor.submit(index, job, submitted))
+        if supervisor.busy and self.workers > 1:
+            pool = WorkerPool(
+                size=min(self.workers, supervisor.queued), ctx=self._ctx, grace=self.grace
             )
+            if pool.start() == 0:
+                self._degrade(pool, supervisor)
+                pool = None
 
-        final: List[JobResult] = []
-        for index, job in enumerate(jobs):
-            result = results[index]
-            if result is None:  # cancelled before execution
-                result = JobResult(tag=job.tag, fingerprint=job.fingerprint, cancelled=True)
-            self._tally(result)
-            final.append(result)
+        def payload(task: Task) -> dict:
+            clock_shared = pool is None or pool.clock_shared
+            return self._payload(task.job, clock_shared, task.submitted, task.attempts)
+
+        try:
+            while supervisor.busy:
+                if self._cancelled:
+                    apply(supervisor.cancel_all())
+                    break
+                now = time.monotonic()
+                if pool is not None and not pool.live_count:
+                    # Every worker is gone and none could be respawned.
+                    self._degrade(pool, supervisor)
+                    pool = None
+                if pool is None:
+                    tasks = supervisor.dispatch(now, 1)
+                    if not tasks:  # only backoffs pending
+                        time.sleep(max((supervisor.next_wakeup() or now) - now, 0.0))
+                        continue
+                    event = execute_inline(tasks[0], payload(tasks[0]))
+                    apply(supervisor.worker_event(event.kind, tasks[0], event.body, now))
+                    continue
+                deliver(supervisor, pool, now, payload)
+                if not pool.active_count:
+                    if pool.live_count:  # nothing running: wait for the next retry
+                        time.sleep(max((supervisor.next_wakeup() or now) - now, 0.0))
+                    continue
+                events, _ = pool.poll(poll_timeout(pool, supervisor))
+                now = time.monotonic()
+                for event in events:
+                    apply(supervisor.worker_event(event.kind, event.token, event.body, now))
+        except KeyboardInterrupt:
+            # Stop, mark the rest cancelled, and return the partial results.
+            self._cancelled = True
+            apply(supervisor.cancel_all())
+        finally:
+            if pool is not None:
+                self._fold_pool(pool, supervisor)
+                pool.stop()
+
         self.stats.wall_seconds = time.perf_counter() - start
-        if self._busy and self.stats.wall_seconds > 0:
+        busy = supervisor.worker_seconds
+        if busy and self.stats.wall_seconds > 0:
             # Label workers w0..wN by sorted PID so the mapping is stable
             # within a run (PIDs themselves are not comparable across runs).
             self.stats.worker_utilization = {
-                f"w{slot}": round(min(self._busy[pid] / self.stats.wall_seconds, 1.0), 4)
-                for slot, pid in enumerate(sorted(self._busy))
+                f"w{slot}": round(min(busy[pid] / self.stats.wall_seconds, 1.0), 4)
+                for slot, pid in enumerate(sorted(busy))
             }
         self._record_metrics()
         if self.cache is not None:
             self.cache.record_run_telemetry(self.stats.as_dict())
-        return final
+        return results
 
     def _record_metrics(self) -> None:
         """Mirror this run's scheduling traffic into the metrics registry."""
@@ -822,6 +626,8 @@ class BatchScheduler:
         registry.counter("service.poisoned").inc(self.stats.poisoned)
         registry.counter("service.pool_rebuilds").inc(self.stats.pool_rebuilds)
         registry.counter("service.degraded_serial").inc(self.stats.degraded_serial)
+        registry.counter("service.variants_raced").inc(self.stats.variants_raced)
+        registry.counter("service.variants_cancelled").inc(self.stats.variants_cancelled)
         registry.histogram("service.queue_seconds").observe(self.stats.queue_seconds)
         registry.histogram("service.run_seconds").observe(self.stats.run_seconds)
         registry.gauge("service.workers").set(self.stats.workers)
@@ -846,272 +652,30 @@ class BatchScheduler:
         ]
 
     # ------------------------------------------------------------------
-    # Execution backends
+    # Pool bookkeeping
     # ------------------------------------------------------------------
-    def _payload(self, job: Job, clock_shared: bool = True) -> dict:
-        payload = {
-            "goal": job.goal_json,
-            "config": job.config_json,
-            "timeout": job.timeout,
-        }
-        if self.warm:
-            payload["warm"] = True
-        # The submission stamp is only cross-comparable when both ends share
-        # one monotonic clock domain (in-process, or fork on Linux); under
-        # spawn it is omitted so queue wait reports 0.0, not garbage.
-        if clock_shared:
-            payload["submitted"] = time.monotonic()
-        return payload
+    def _payload(
+        self,
+        job: Job,
+        clock_shared: bool = True,
+        submitted: Optional[float] = None,
+        attempt: int = 0,
+    ) -> dict:
+        """The payload for one attempt of ``job`` (default: submitted now)."""
+        if submitted is None:
+            submitted = time.monotonic()
+        return job_payload(job, self.warm, submitted if clock_shared else None, attempt)
 
-    def _soft_timeout(self, job: Job) -> Optional[float]:
-        """The effective soft budget anchoring the parent's hard deadline."""
-        config_timeout = job.config_json.get("timeout")
-        soft = job.timeout
-        if config_timeout is not None:
-            soft = config_timeout if soft is None else min(soft, config_timeout)
-        return soft
-
-    def _job_retries(self, job: Job) -> int:
-        return job.retries if job.retries is not None else self.retries
-
-    def _fold_pool(self, pool: WorkerPool) -> None:
-        """Fold one run's pool lifecycle counters into the scheduler stats."""
+    def _fold_pool(self, pool: WorkerPool, supervisor: Supervisor) -> None:
+        """Fold one pool's lifecycle counters into the run's stats."""
         self.stats.worker_kills += pool.kills
         self.stats.pool_rebuilds += pool.rebuilds
         for pid, seconds in pool.busy_charges.items():
-            self._busy[pid] = self._busy.get(pid, 0.0) + seconds
+            supervisor.worker_seconds[pid] = supervisor.worker_seconds.get(pid, 0.0) + seconds
 
-    def _backoff(self, attempt: int) -> float:
-        """Deterministic capped exponential backoff before retry ``attempt``."""
-        return min(self.backoff_base * (2 ** max(attempt - 1, 0)), self.backoff_cap)
-
-    def _complete(self, job: Job, record: dict, attempts: int = 1) -> JobResult:
-        # Scheduling timings and the warm counter block are properties of
-        # *this run*, not of the fingerprinted job — strip them before the
-        # record reaches the cache so entries stay byte-identical across runs
-        # (and across warm/cold executions).
-        queue_seconds = float(record.pop("queue_seconds", 0.0))
-        run_seconds = float(record.pop("run_seconds", 0.0))
-        warm_block = record.pop("warm", None)
-        result = JobResult(
-            tag=job.tag,
-            fingerprint=job.fingerprint,
-            record=record,
-            timed_out=bool(record.get("timed_out")),
-            attempts=attempts,
-            queue_seconds=queue_seconds,
-            run_seconds=run_seconds,
-            worker_pid=int(record.get("worker_pid", 0)),
-            warm=warm_block,
-        )
-        # Timed-out results are clock- and machine-dependent, not properties
-        # of the fingerprinted payload — persisting them would make a later
-        # run with a generous budget report the stale failure forever.
-        if self.cache is not None and job.fingerprint and not result.timed_out:
-            self.cache.store(job.fingerprint, record)
-        return result
-
-    def _run_serial(
-        self, jobs: Sequence[Job], pending: Sequence[int], results: List[Optional[JobResult]]
-    ) -> None:
-        for index in pending:
-            if self._cancelled:
-                results[index] = JobResult(
-                    tag=jobs[index].tag, fingerprint=jobs[index].fingerprint, cancelled=True
-                )
-                continue
-            try:
-                record = _execute_payload(self._payload(jobs[index]))
-            except KeyboardInterrupt:
-                # Same semantics as the pool backend: stop, mark the rest
-                # cancelled, and let run() return the partial results.
-                self._cancelled = True
-                results[index] = JobResult(
-                    tag=jobs[index].tag, fingerprint=jobs[index].fingerprint, cancelled=True
-                )
-            except Exception as exc:  # noqa: BLE001 - worker parity
-                results[index] = JobResult(
-                    tag=jobs[index].tag,
-                    fingerprint=jobs[index].fingerprint,
-                    error=repr(exc),
-                    attempts=1,
-                )
-            else:
-                results[index] = self._complete(jobs[index], record)
-
-    # -- supervised pool ---------------------------------------------------
-    def _run_pool(
-        self, jobs: Sequence[Job], pending: List[int], results: List[Optional[JobResult]]
-    ) -> None:
-        plan = faults.plan()
-        ship = ship_faults(plan)
-
-        pool = WorkerPool(
-            size=min(self.workers, len(pending)), ctx=self._ctx, grace=self.grace
-        )
-        if pool.start() == 0:
-            # Pool creation failed outright: degrade to the serial backend.
-            self._fold_pool(pool)
-            pool.stop()
-            self.stats.degraded_serial = 1
-            metrics.REGISTRY.counter("service.pool_fallbacks").inc()
-            self._run_serial(jobs, pending, results)
-            return
-        clock_shared = pool.clock_shared
-
-        queue: Deque[int] = deque(pending)
-        retry_heap: List[Tuple[float, int]] = []
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        kills: Dict[int, int] = {}
-
-        def finish_failed(index: int, cause: str, detail: str) -> None:
-            """A worker died under this job: poison, retry, or final failure."""
-            job = jobs[index]
-            kills[index] = kills.get(index, 0) + 1
-            attempts[index] += 1
-            if cause == "hang":
-                self.stats.hard_timeouts += 1
-            verdict = classify_failure(kills[index], attempts[index], self._job_retries(job))
-            if verdict == "poison":
-                self.stats.poisoned += 1
-                results[index] = JobResult(
-                    tag=job.tag,
-                    fingerprint=job.fingerprint,
-                    error=f"poison job: killed {kills[index]} workers (last: {detail})",
-                    attempts=attempts[index],
-                )
-            elif verdict == "retry":
-                self.stats.retries += 1
-                delay = self._backoff(attempts[index])
-                heapq.heappush(retry_heap, (time.monotonic() + delay, index))
-            elif cause == "hang":
-                results[index] = JobResult(
-                    tag=job.tag,
-                    fingerprint=job.fingerprint,
-                    timed_out=True,
-                    hard_timed_out=True,
-                    attempts=attempts[index],
-                )
-            else:
-                results[index] = JobResult(
-                    tag=job.tag,
-                    fingerprint=job.fingerprint,
-                    error=detail,
-                    attempts=attempts[index],
-                )
-
-        def dispatch_ready() -> None:
-            while pool.idle_count and queue:
-                index = queue.popleft()
-                job = jobs[index]
-                payload = self._payload(job, clock_shared=clock_shared)
-                if ship:
-                    payload.update(
-                        fault_fields(plan, job.fingerprint or job.tag, attempts[index])
-                    )
-                if not pool.dispatch(index, payload, self._soft_timeout(job)):
-                    # The worker died while idle — not the job's fault: the
-                    # pool replaced it; put the job back at the head.
-                    queue.appendleft(index)
-
-        try:
-            while queue or retry_heap or pool.active_count:
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, index = heapq.heappop(retry_heap)
-                    queue.appendleft(index)
-                if self._cancelled:
-                    break
-                dispatch_ready()
-                if not pool.active_count:
-                    if not queue and not retry_heap:
-                        break
-                    if retry_heap and not queue:
-                        # Nothing running; sleep until the next retry is due.
-                        time.sleep(max(retry_heap[0][0] - time.monotonic(), 0.0))
-                        continue
-                    if queue and not pool.idle_count:
-                        break  # every worker is gone; drain serially below
-                    continue
-                wait_bounds = []
-                deadline = pool.next_deadline()
-                if deadline is not None:
-                    wait_bounds.append(deadline)
-                if retry_heap:
-                    wait_bounds.append(retry_heap[0][0])
-                timeout = (
-                    max(min(wait_bounds) - time.monotonic(), 0.0) if wait_bounds else None
-                )
-                events, _ = pool.poll(timeout)
-                for event in events:
-                    index = event.token
-                    if event.kind in ("crash", "hang"):
-                        finish_failed(index, event.kind, event.body)
-                        continue
-                    attempts[index] += 1
-                    if event.kind == "ok":
-                        results[index] = self._complete(
-                            jobs[index], event.body, attempts=attempts[index]
-                        )
-                    else:
-                        results[index] = JobResult(
-                            tag=jobs[index].tag,
-                            fingerprint=jobs[index].fingerprint,
-                            error=event.body,
-                            attempts=attempts[index],
-                        )
-        except KeyboardInterrupt:
-            self._cancelled = True
-        finally:
-            self._fold_pool(pool)
-            pool.stop()
-
-        if not self._cancelled:
-            remaining = sorted(set(queue) | {index for _, index in retry_heap})
-            remaining = [index for index in remaining if results[index] is None]
-            if remaining:
-                # The pool could not be rebuilt; degrade to the serial
-                # backend for whatever is left instead of dropping it.
-                self.stats.degraded_serial = 1
-                metrics.REGISTRY.counter("service.pool_fallbacks").inc()
-                self._run_serial(jobs, remaining, results)
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def _tally(self, result: JobResult) -> None:
-        tally_result(self.stats, result, self._busy)
-
-
-def tally_result(
-    stats: SchedulerStats, result: JobResult, busy: Optional[Dict[int, float]] = None
-) -> None:
-    """Fold one job outcome into ``stats`` (shared with the server).
-
-    Counters and cpu_seconds measure work *performed*; cache hits and dedup
-    copies only contribute to saved_seconds.
-    """
-    if result.timed_out:
-        stats.timeouts += 1
-    if result.cancelled:
-        stats.cancelled += 1
-    if result.error is not None:
-        stats.errors += 1
-    if result.record is None or result.deduplicated or result.cache_hit:
-        if result.record is not None and (result.deduplicated or result.cache_hit):
-            stats.saved_seconds += result.seconds
-        return
-    stats.cpu_seconds += result.seconds
-    stats.queue_seconds += result.queue_seconds
-    stats.run_seconds += result.run_seconds
-    if result.warm:
-        warm.aggregate(stats.warm_state, result.warm)
-    if busy is not None and result.worker_pid:
-        busy[result.worker_pid] = busy.get(result.worker_pid, 0.0) + result.run_seconds
-    for key, value in result.stats.items():
-        if _summable(key, value):
-            stats.counters[key] = stats.counters.get(key, 0) + value
-    for key in ("candidates_checked", "cegis_counterexamples"):
-        value = result.record.get(key)
-        if isinstance(value, (int, float)):
-            stats.counters[key] = stats.counters.get(key, 0) + value
+    def _degrade(self, pool: WorkerPool, supervisor: Supervisor) -> None:
+        """No worker is left: retire the pool and run the rest in-process."""
+        self._fold_pool(pool, supervisor)
+        pool.stop()
+        self.stats.degraded_serial = 1
+        metrics.REGISTRY.counter("service.pool_fallbacks").inc()
